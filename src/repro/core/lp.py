@@ -1,4 +1,4 @@
-"""Thin linear-programming layer over :func:`scipy.optimize.linprog`.
+"""Linear-programming layer over scipy's bundled HiGHS solver.
 
 Every optimisation in the library is an LP.  This module provides a small
 builder that keeps variables named, assembles the sparse standard form and
@@ -6,10 +6,19 @@ converts solver statuses into the library's exception types, so the model
 code above reads like the paper's formulations rather than like matrix
 plumbing.
 
+The first solver attempt hands the program straight to scipy's HiGHS
+bindings (``scipy.optimize._highspy._core``) under one options object,
+built once, equal to what ``linprog(method="highs-ds")`` passes: the
+answer is bit-identical to linprog's, minus linprog's per-call input and
+option checks.  :func:`scipy.optimize.linprog` stays for the fallback
+attempts, as the :mod:`repro.verify.reference` solver, and for attempt 0
+on scipy without the bindings (before 1.15).  The recorder span
+``lp.solve`` times the HiGHS handoff and run, not scipy's input checks.
+
 Constraints are accumulated as COO triplets and assembled per
-:meth:`LinearProgram.solve` — as a :class:`scipy.sparse.csr_matrix` for
-large programs, densified below a size threshold where HiGHS ingests a
-dense array faster.  :meth:`LinearProgram.add_column` grows an already-built
+:meth:`LinearProgram.solve` as a canonical :class:`scipy.sparse.csr_matrix`,
+densified below a size threshold for the slack product and for the
+linprog attempts.  :meth:`LinearProgram.add_column` grows an already-built
 program by one variable with coefficients in existing rows, which is what
 column generation needs: the master problem is assembled once and re-solved
 as columns arrive, never rebuilt.  :meth:`LinearProgram.set_column`
@@ -45,11 +54,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 from scipy.sparse import coo_matrix, csr_matrix, hstack as sparse_hstack
 
 from repro.errors import InfeasibleProblemError, SolverAttempt, SolverError
 from repro.obs import get_recorder
+
+try:  # scipy >= 1.15 exposes the HiGHS bindings linprog itself drives
+    from scipy.optimize._highspy import _core as _highs
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+except ImportError:  # older scipy: attempt 0 runs through linprog
+    _highs = None
 
 __all__ = [
     "DualCertificate",
@@ -59,14 +74,15 @@ __all__ = [
     "set_solver_fault_hook",
 ]
 
-#: Below this many matrix cells the constraint matrix is passed to linprog
-#: dense — for tiny programs (the common case here) HiGHS's dense ingestion
-#: beats the sparse handoff.
+#: Below this many matrix cells the constraint matrix is densified for the
+#: slack product and the linprog attempts — for tiny programs (the common
+#: case here) the dense product and linprog's dense ingestion are faster.
 _DENSE_CELL_LIMIT = 32768
 
 #: The retry/fallback chain of :meth:`LinearProgram.solve`: ``(method,
 #: options)`` pairs tried in order.  HiGHS dual simplex first (what
-#: ``method="highs"`` resolves to on these programs), the interior-point
+#: ``method="highs"`` resolves to on these programs; run through
+#: :func:`_solve_highs_ds` when scipy has the bindings), the interior-point
 #: method when simplex fails, and one final attempt with feasibility
 #: tolerances relaxed an order of magnitude.  Infeasible/unbounded are
 #: genuine model outcomes, never retried — only solver *failures* walk
@@ -99,6 +115,93 @@ def set_solver_fault_hook(
     """Install (or with ``None`` remove) the solver fault-injection hook."""
     global _solver_fault_hook
     _solver_fault_hook = hook
+
+
+if _highs is not None:
+    #: Exactly the options ``linprog(method="highs-ds")`` sets, built and
+    #: validated once; linprog re-checks them on every call.
+    _HIGHS_DS_OPTIONS = _highs.HighsOptions()
+    _HIGHS_DS_OPTIONS.presolve = "on"
+    _HIGHS_DS_OPTIONS.solver = "simplex"
+    _HIGHS_DS_OPTIONS.simplex_strategy = (
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    )
+    _HIGHS_DS_OPTIONS.highs_debug_level = (
+        _highs.HighsDebugLevel.kHighsDebugLevelNone
+    )
+    _HIGHS_DS_OPTIONS.output_flag = False
+    _HIGHS_DS_OPTIONS.log_to_console = False
+    if _highs._Highs().passOptions(_HIGHS_DS_OPTIONS) != _highs.HighsStatus.kOk:
+        _highs = None
+
+
+def _solve_highs_ds(
+    c: np.ndarray, matrix: Optional[csr_matrix], b_ub: Optional[np.ndarray],
+    bounds: np.ndarray,
+) -> OptimizeResult:
+    """``linprog(c, A_ub, b_ub, bounds, method="highs-ds")`` minus its wrapper.
+
+    HiGHS gets the program linprog would build (the canonical CSR goes in
+    row-wise; HiGHS stores it column-wise exactly as linprog's CSC),
+    non-finite input is rejected as linprog rejects it, and the outcome
+    goes through linprog's status table and feasibility check, so every
+    field :meth:`LinearProgram.solve` reads is bit-identical to linprog's.
+    """
+    n = c.size
+    if matrix is None:
+        matrix, b_ub = csr_matrix((0, n)), np.empty(0)
+    m = b_ub.size
+    for label, values in (("c", c), ("A_ub", matrix.data), ("b_ub", b_ub)):
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"Invalid input for linprog: {label} must not contain "
+                "values inf, nan, or None"
+            )
+    lower, upper = bounds.T.copy()
+    program = _highs.HighsLp()
+    program.num_col_ = program.a_matrix_.num_col_ = n
+    program.num_row_ = program.a_matrix_.num_row_ = m
+    program.col_cost_ = c
+    program.col_lower_ = lower
+    program.col_upper_ = upper
+    program.row_lower_ = np.full(m, -np.inf)
+    program.row_upper_ = b_ub
+    program.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+    program.a_matrix_.start_ = matrix.indptr
+    program.a_matrix_.index_ = matrix.indices
+    program.a_matrix_.value_ = matrix.data
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_DS_OPTIONS)
+    if highs.passModel(program) == _highs.HighsStatus.kError:
+        model_status = _highs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    if model_status != _highs.HighsModelStatus.kOptimal:
+        status, message = _highs_to_scipy_status_message(
+            model_status, highs.modelStatusToString(model_status)
+        )
+        return OptimizeResult(status=status, success=False, message=message)
+    solution, info = highs.getSolution(), highs.getInfo()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    slack = b_ub - np.array(solution.row_value)
+    # linprog's _check_result: an "optimal" point off the feasible set by
+    # more than its tolerance (or NaN anywhere) is a solver failure.
+    tol = np.sqrt(1e-9) * 10
+    feasible = not np.isnan(fun) and bool(
+        np.all(x >= lower - tol) and np.all(x <= upper + tol)
+        and np.all(slack >= -tol)
+    )
+    message = "Optimization terminated successfully." if feasible else (
+        f"solution violates the constraints by more than {tol:.2E}"
+    )
+    return OptimizeResult(
+        x=x, fun=fun, status=0 if feasible else 4, success=feasible,
+        message=message,
+        nit=info.simplex_iteration_count or info.ipm_iteration_count,
+        ineqlin=OptimizeResult(marginals=np.array(solution.row_dual)),
+    )
 
 
 @dataclass
@@ -223,7 +326,7 @@ class LinearProgram:
 
     All variables are non-negative with an optional upper bound, which is
     the shape of every formulation in the paper (time shares, throughputs).
-    The solve maximises; internally the sign is flipped for linprog.
+    The solve maximises; internally the sign is flipped for the solver.
     """
 
     def __init__(self):
@@ -624,14 +727,15 @@ class LinearProgram:
         c = -np.asarray(self._objective, dtype=float)  # linprog minimises
         m = len(self._rhs)
         if m:
-            a_ub = self._assemble(m, n)
-            if m * n <= _DENSE_CELL_LIMIT:
-                a_ub = a_ub.toarray()
+            matrix = self._assemble(m, n)
+            a_ub = matrix.toarray() if m * n <= _DENSE_CELL_LIMIT else matrix
             b_ub = np.asarray(self._rhs, dtype=float)
         else:
-            a_ub = None
-            b_ub = None
-        bounds = [(0.0, upper) for upper in self._upper]
+            matrix = a_ub = b_ub = None
+        # Columns 0 <= x <= upper; an upper bound of None reads as +inf.
+        upper = np.array(self._upper, dtype=float)
+        upper[np.isnan(upper)] = np.inf
+        bounds = np.column_stack((np.zeros(n), upper))
         attempts: List[SolverAttempt] = []
         for attempt_index, (method, options) in enumerate(
             SOLVER_ATTEMPT_CHAIN
@@ -642,14 +746,17 @@ class LinearProgram:
                 if _solver_fault_hook is not None:
                     _solver_fault_hook(attempt_index, method)
                 with recorder.span("lp.solve"):
-                    result = linprog(
-                        c,
-                        A_ub=a_ub,
-                        b_ub=b_ub,
-                        bounds=bounds,
-                        method=method,
-                        options=options or {},
-                    )
+                    if attempt_index == 0 and _highs is not None:
+                        result = _solve_highs_ds(c, matrix, b_ub, bounds)
+                    else:
+                        result = linprog(
+                            c,
+                            A_ub=a_ub,
+                            b_ub=b_ub,
+                            bounds=bounds,
+                            method=method,
+                            options=options or {},
+                        )
             except (InfeasibleProblemError, SolverError):
                 raise
             except Exception as error:

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.lp as lp_module
 from repro.core.lp import LinearProgram
 from repro.errors import InfeasibleProblemError, SolverError
 from repro.obs import Recorder, use_recorder
@@ -451,3 +453,269 @@ class TestSlacksAndCertificate:
         ) == fallback.binding_constraints(tolerance=1e-7)
         for name, slack in primary.slacks.items():
             assert fallback.slacks[name] == pytest.approx(slack, abs=1e-7)
+
+
+# -- the direct HiGHS path against linprog ----------------------------------------
+
+requires_bindings = pytest.mark.skipif(
+    lp_module._highs is None, reason="scipy has no bundled HiGHS bindings"
+)
+
+
+def _bits(solution):
+    """Every field of an LpSolution, floats as exact hex strings."""
+
+    def exact(mapping):
+        return {name: value.hex() for name, value in mapping.items()}
+
+    return (
+        solution.objective.hex(),
+        exact(solution.values),
+        exact(solution.duals),
+        exact(solution.slacks),
+        solution.iterations,
+    )
+
+
+def _solve_trace(run, monkeypatch, direct):
+    """Bits of every solve ``run()`` makes (the error type for a raise).
+
+    ``direct=False`` removes the bindings handle, so attempt 0 runs
+    through ``linprog(method="highs-ds")`` as on scipy without them.
+    """
+    trace = []
+    handoffs = []
+    solve = LinearProgram.solve
+    solve_highs_ds = lp_module._solve_highs_ds
+
+    def recording(self):
+        try:
+            solution = solve(self)
+        except (InfeasibleProblemError, SolverError) as error:
+            trace.append(type(error).__name__)
+            raise
+        trace.append(_bits(solution))
+        return solution
+
+    def counting(*args):
+        handoffs.append(1)
+        return solve_highs_ds(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LinearProgram, "solve", recording)
+        patch.setattr(lp_module, "_solve_highs_ds", counting)
+        if not direct:
+            patch.setattr(lp_module, "_highs", None)
+        try:
+            run()
+        except (InfeasibleProblemError, SolverError):
+            pass
+    assert trace, "run() made no LP solve"
+    assert bool(handoffs) == direct
+    return trace
+
+
+def _assert_bit_identical(run, monkeypatch):
+    direct = _solve_trace(run, monkeypatch, direct=True)
+    assert direct == _solve_trace(run, monkeypatch, direct=False)
+
+
+@requires_bindings
+class TestDirectHighsMatchesLinprog:
+    """The pin: attempt 0 through the bindings equals linprog bit for bit.
+
+    Objective, values, duals, slacks and iteration count must match a
+    ``linprog(method="highs-ds")`` solve of the same matrices; a scipy
+    release that changes highs-ds's defaults fails here.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eq6_lps_of_every_verify_family(self, seed, monkeypatch):
+        from repro import available_path_bandwidth
+        from repro.verify import FAMILIES, generate_instance
+
+        for family in sorted(FAMILIES):
+            instance = generate_instance(seed, family=family)
+            _assert_bit_identical(
+                lambda: available_path_bandwidth(
+                    instance.model, instance.new_path, instance.background
+                ),
+                monkeypatch,
+            )
+
+    def test_column_generation_master_grown_by_add_column(
+        self, s1_bundle, monkeypatch
+    ):
+        from repro.core.column_generation import solve_with_column_generation
+
+        def run():
+            solve_with_column_generation(
+                s1_bundle.model, s1_bundle.new_path, s1_bundle.background
+            )
+
+        direct = _solve_trace(run, monkeypatch, direct=True)
+        assert len(direct) > 1  # the master was re-solved after add_column
+        assert direct == _solve_trace(run, monkeypatch, direct=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                st.lists(
+                    st.one_of(st.none(), st.floats(0.0, 5.0)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(
+                    st.tuples(
+                        st.lists(
+                            st.sampled_from([0.0, 0.0, 1.0, 2.5, -1.0, 0.3]),
+                            min_size=n,
+                            max_size=n,
+                        ),
+                        st.floats(0.0, 10.0),
+                        st.booleans(),
+                    ),
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_drawn_small_programs(self, program):
+        objective, upper, rows = program
+
+        def build():
+            lp = LinearProgram()
+            for index, (cost, bound) in enumerate(zip(objective, upper)):
+                lp.add_variable(f"x{index}", objective=cost, upper_bound=bound)
+            for coefficients, rhs, at_least in rows:
+                entries = {f"x{i}": v for i, v in enumerate(coefficients)}
+                if at_least:
+                    lp.add_constraint_ge(entries, rhs)
+                else:
+                    lp.add_constraint_le(entries, rhs)
+            return lp.solve()
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_bit_identical(build, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            # x >= 2 and x <= 1
+            ([("ge", 2.0), ("le", 1.0)], InfeasibleProblemError),
+            # no row at all: max x, x unbounded
+            ([], SolverError),
+        ],
+    )
+    def test_infeasible_and_unbounded_raise_alike(self, rows, error, monkeypatch):
+        def build():
+            lp = LinearProgram()
+            x = lp.add_variable("x", objective=1.0)
+            for sense, rhs in rows:
+                if sense == "ge":
+                    lp.add_constraint_ge({x: 1.0}, rhs)
+                else:
+                    lp.add_constraint_le({x: 1.0}, rhs)
+            return lp.solve()
+
+        for direct in (True, False):
+            with monkeypatch.context() as patch:
+                if not direct:
+                    patch.setattr(lp_module, "_highs", None)
+                with pytest.raises(error) as excinfo:
+                    build()
+            assert type(excinfo.value) is error
+        assert _solve_trace(build, monkeypatch, direct=True) == [error.__name__]
+
+    @pytest.mark.parametrize(
+        "cost, coefficient, rhs",
+        [
+            (float("nan"), 1.0, 1.0),
+            (1.0, float("inf"), 1.0),
+            (1.0, 1.0, float("inf")),
+        ],
+    )
+    def test_non_finite_input_fails_every_attempt_alike(
+        self, cost, coefficient, rhs, monkeypatch
+    ):
+        def attempts():
+            lp = LinearProgram()
+            x = lp.add_variable("x", objective=cost)
+            lp.add_constraint_le({x: coefficient}, rhs)
+            with pytest.raises(SolverError) as excinfo:
+                lp.solve()
+            return [(a.method, a.message) for a in excinfo.value.attempts]
+
+        direct = attempts()
+        monkeypatch.setattr(lp_module, "_highs", None)
+        assert direct == attempts()
+        assert len(direct) == len(lp_module.SOLVER_ATTEMPT_CHAIN)
+
+
+    def test_other_statuses_walk_the_chain(self, monkeypatch):
+        # An iteration limit of 0 with presolve off leaves the direct
+        # attempt at kIterationLimit; highs-ipm must take over.
+        options = lp_module._highs.HighsOptions()
+        options.presolve = "off"
+        options.simplex_iteration_limit = 0
+        options.output_flag = options.log_to_console = False
+        monkeypatch.setattr(lp_module, "_HIGHS_DS_OPTIONS", options)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            solution = TestSlacksAndCertificate()._program().solve()
+        assert solution.objective == pytest.approx(11.0)
+        assert recorder.counters["lp.retries"] == 1
+        assert recorder.counters["lp.fallbacks"] == 1
+
+
+class TestBindingsFallback:
+    """Without ``_highspy._core`` (scipy < 1.15) attempt 0 is linprog."""
+
+    def _program(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", objective=2.0)
+        y = lp.add_variable("y", objective=3.0, upper_bound=2.5)
+        lp.add_constraint_le({x: 1.0, y: 1.0}, 4.0, name="sum")
+        lp.add_constraint_ge({x: 1.0}, 0.5, name="floor")
+        return lp
+
+    def test_attempt_zero_runs_through_linprog(self, monkeypatch):
+        direct = self._program().solve()
+        methods = []
+        linprog = lp_module.linprog
+
+        def recording(*args, method, **kwargs):
+            methods.append(method)
+            return linprog(*args, method=method, **kwargs)
+
+        monkeypatch.setattr(lp_module, "_highs", None)
+        monkeypatch.setattr(lp_module, "linprog", recording)
+        fallback = self._program().solve()
+        assert methods == ["highs-ds"]
+        assert _bits(fallback) == _bits(direct)
+
+    @pytest.mark.parametrize("spec", ["solver@1", "solver-fatal@1"])
+    def test_same_attempt_list(self, spec, monkeypatch):
+        from repro.testing.faults import inject_faults, plan_from_spec
+
+        def run():
+            recorder = Recorder()
+            with use_recorder(recorder), inject_faults(plan_from_spec(spec)):
+                try:
+                    answer = _bits(self._program().solve())
+                except SolverError as error:
+                    answer = [
+                        (a.method, a.options, a.status, a.message)
+                        for a in error.attempts
+                    ]
+            counters = {
+                name: recorder.counters.get(name, 0)
+                for name in ("lp.retries", "lp.fallbacks", "lp.failures")
+            }
+            return answer, counters
+
+        direct = run()
+        monkeypatch.setattr(lp_module, "_highs", None)
+        assert run() == direct
