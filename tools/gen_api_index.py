@@ -96,8 +96,8 @@ built and validated once at import, carrying exactly what
 and the feasibility check are linprog's own, so every answer is
 bit-identical to linprog's (pinned by `tests/test_core_lp.py`); what is
 skipped is linprog's per-call input parsing and option re-validation,
-which cost more than HiGHS itself on these small programs — column
-generation runs about 2.5× faster.  The `lp.solve` span times the
+which cost more than HiGHS itself on these small programs — the
+`cg-solve` benchmark workload (column generation) runs about 2.3× faster.  The `lp.solve` span times the
 handoff and the HiGHS run.  On scipy releases without the bindings
 (before 1.15) the first attempt is `linprog` again.
 
